@@ -47,7 +47,7 @@ func (r *RDF) AddFrame(box vec.Box, pos []vec.V, sitesA, sitesB []int) {
 			sub[i] = pos[s]
 		}
 		cl := celllist.Build(box, r.RMax, sub)
-		cl.ForEachPair(sub, func(i, j int, d vec.V, r2 float64) {
+		cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
 			b := int(math.Sqrt(r2) / dr)
 			if b < r.Bins {
 				r.counts[b] += 2 // each pair contributes to both sites

@@ -8,7 +8,10 @@
 //
 // Performance note: the periodic image shift of every cell pair is known
 // from the stencil, so candidate pairs are tested with three subtractions
-// and a compare — no per-pair minimum-image rounding.
+// and a compare — no per-pair minimum-image rounding. Direct mode (boxes
+// under three cells per axis) tests the box-wrapped copies, whose
+// differences lie in (−L, L), and folds each component into [−L/2, L/2]
+// with a compare instead of a divide and a rounding.
 //
 // # Slab decomposition
 //
@@ -41,6 +44,7 @@ type List struct {
 	// wrapped holds box-wrapped copies of the build positions, used for
 	// shift-based displacement computation.
 	wrapped []vec.V
+	half    vec.V // half the box edges: the direct-mode fold threshold
 	n       int
 	direct  bool // too few cells for the stencil; fall back to O(N²)
 	// o, when non-nil, counts rebuilds. The cell list records no span of
@@ -60,7 +64,7 @@ func (l *List) SetObs(r *obs.Recorder) { l.o = r }
 // stencil. If the box is too small for a 3-cell decomposition along every
 // axis the list falls back to direct all-pairs enumeration.
 func New(box vec.Box, cutoff float64) *List {
-	l := &List{Box: box, Cutoff: cutoff}
+	l := &List{Box: box, Cutoff: cutoff, half: box.L.Scale(0.5)}
 	for j := 0; j < 3; j++ {
 		l.nc[j] = int(box.L[j] / cutoff)
 		if l.nc[j] < 1 {
@@ -96,15 +100,20 @@ func Build(box vec.Box, cutoff float64, pos []vec.V) *List {
 func (l *List) Rebuild(pos []vec.V) {
 	l.o.Add(obs.CounterCellRebuilds, 1)
 	l.n = len(pos)
+	if cap(l.wrapped) < l.n {
+		l.wrapped = make([]vec.V, l.n)
+	}
+	l.wrapped = l.wrapped[:l.n]
 	if l.direct {
+		for i, r := range pos {
+			l.wrapped[i] = l.Box.Wrap(r)
+		}
 		return
 	}
 	if cap(l.next) < l.n {
 		l.next = make([]int32, l.n)
-		l.wrapped = make([]vec.V, l.n)
 	}
 	l.next = l.next[:l.n]
-	l.wrapped = l.wrapped[:l.n]
 	for i := range l.head {
 		l.head[i] = -1
 	}
@@ -183,14 +192,19 @@ var upPlane = [9][2]int{
 	{-1, 1}, {0, 1}, {1, 1},
 }
 
+// Wrapped returns the box-wrapped copies of the positions of the last
+// Rebuild; every displacement the traversal reports is w[i] − w[j] plus a
+// lattice vector whose components are −L, 0 or +L. Callers must not
+// mutate the returned slice.
+func (l *List) Wrapped() []vec.V { return l.wrapped[:l.n] }
+
 // ForEachPair calls fn(i, j, d, r2) for every unordered pair (i, j) with
 // minimum-image displacement d = r_i − r_j and squared distance r2 ≤
-// cutoff². The pos slice must be the one passed to Build/Rebuild (it is
-// only used in direct mode; cell mode uses the wrapped copies).
-func (l *List) ForEachPair(pos []vec.V, fn func(i, j int, d vec.V, r2 float64)) {
+// cutoff², at the positions of the last Build/Rebuild.
+func (l *List) ForEachPair(fn func(i, j int, d vec.V, r2 float64)) {
 	ns := l.Slabs()
 	for s := 0; s < ns; s++ {
-		l.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, _ int) {
+		l.ForEachPairInSlab(s, func(i, j int, d vec.V, r2 float64, _ int) {
 			fn(i, j, d, r2)
 		})
 	}
@@ -204,8 +218,9 @@ func (l *List) ForEachPair(pos []vec.V, fn func(i, j int, d vec.V, r2 float64)) 
 // and the enumeration order within a slab is fixed, so concurrent
 // traversal of different slabs with owner-only writes plus a deferred
 // cross-slab pass is deterministic at any worker count.
-func (l *List) ForEachPairInSlab(s int, pos []vec.V, fn func(i, j int, d vec.V, r2 float64, tgt int)) {
+func (l *List) ForEachPairInSlab(s int, fn func(i, j int, d vec.V, r2 float64, tgt int)) {
 	rc2 := l.Cutoff * l.Cutoff
+	w := l.wrapped
 	if l.direct {
 		nb := directSlabs(l.n)
 		c := (l.n + nb - 1) / nb
@@ -213,9 +228,15 @@ func (l *List) ForEachPairInSlab(s int, pos []vec.V, fn func(i, j int, d vec.V, 
 		if hi > l.n {
 			hi = l.n
 		}
+		L, h := l.Box.L, l.half
 		for i := lo; i < hi; i++ {
+			wi := w[i]
 			for j := i + 1; j < l.n; j++ {
-				d := l.Box.MinImage(pos[i].Sub(pos[j]))
+				d := vec.V{
+					Fold(wi[0]-w[j][0], L[0], h[0]),
+					Fold(wi[1]-w[j][1], L[1], h[1]),
+					Fold(wi[2]-w[j][2], L[2], h[2]),
+				}
 				if r2 := d.Norm2(); r2 <= rc2 {
 					fn(i, j, d, r2, j/c)
 				}
@@ -225,7 +246,6 @@ func (l *List) ForEachPairInSlab(s int, pos []vec.V, fn func(i, j int, d vec.V, 
 	}
 	nx, ny, nz := l.nc[0], l.nc[1], l.nc[2]
 	cz := s
-	w := l.wrapped
 	// The z-wrap of the layer above is constant across the whole slab.
 	ozUp, szUp := wrapCell(cz+1, nz, l.Box.L[2])
 	tgtUp := ozUp
@@ -305,4 +325,24 @@ func wrapCell(c, n int, boxL float64) (int, float64) {
 		return c - n, -boxL
 	}
 	return c, 0
+}
+
+// Fold maps a displacement component x ∈ (−3h, 3h) into [−h, h], where
+// h = L/2, by compare and fold: the minimum image of a difference of two
+// box-wrapped coordinates, or of a minimum image that has since drifted
+// by less than a box length, without the divide and rounding of
+// vec.Box.MinImage. The compares select an integer, which compiles to
+// conditional moves: the sign of a random pair's displacement is a coin
+// flip, and a branch on it would mispredict half the time.
+//
+//tme:noalloc
+func Fold(x, L, h float64) float64 {
+	k := 0
+	if x > h {
+		k = 1
+	}
+	if x < -h {
+		k = -1
+	}
+	return x - L*float64(k)
 }

@@ -56,7 +56,7 @@ func TestPairsMatchBruteForce(t *testing.T) {
 		got := map[string]bool{}
 		var dup bool
 		cl := Build(c.box, c.rc, pos)
-		cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) {
+		cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
 			k := key(i, j)
 			if got[k] {
 				dup = true
@@ -82,7 +82,7 @@ func TestDisplacementConsistency(t *testing.T) {
 	box := vec.Cubic(6)
 	pos := randomPositions(rng, 200, box)
 	cl := Build(box, 1.2, pos)
-	cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) {
+	cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
 		// Shift-based displacements agree with MinImage to rounding.
 		want := box.MinImage(pos[i].Sub(pos[j]))
 		if d.Sub(want).Norm() > 1e-12 {
@@ -94,13 +94,42 @@ func TestDisplacementConsistency(t *testing.T) {
 	})
 }
 
+// TestDirectDisplacementConsistency: in direct mode the folded
+// differences of box-wrapped copies are the minimum-image displacements,
+// also for positions several boxes outside the primary cell.
+func TestDirectDisplacementConsistency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	box := vec.NewBox(2.2, 2.5, 2.0)
+	pos := randomPositions(rng, 150, box)
+	for i := range pos {
+		for a := range pos[i] {
+			pos[i][a] += float64(rng.Intn(7)-3) * box.L[a]
+		}
+	}
+	cl := Build(box, 1.0, pos)
+	if !cl.Direct() {
+		t.Fatal("want direct mode")
+	}
+	pairs := 0
+	cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
+		pairs++
+		want := box.MinImage(pos[i].Sub(pos[j]))
+		if d.Sub(want).Norm() > 1e-12 {
+			t.Fatalf("pair (%d,%d): displacement %v, want %v", i, j, d, want)
+		}
+	})
+	if want := len(brutePairs(box, pos, 1.0)); pairs != want {
+		t.Errorf("%d pairs, want %d", pairs, want)
+	}
+}
+
 func TestEmptyAndSingle(t *testing.T) {
 	box := vec.Cubic(5)
 	for _, n := range []int{0, 1} {
 		pos := make([]vec.V, n)
 		cl := Build(box, 1, pos)
 		count := 0
-		cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { count++ })
+		cl.ForEachPair(func(i, j int, d vec.V, r2 float64) { count++ })
 		if count != 0 {
 			t.Errorf("n=%d: got %d pairs", n, count)
 		}
@@ -113,7 +142,7 @@ func TestWrappedPositionsOutsideBox(t *testing.T) {
 	pos := []vec.V{vec.New(-3.9, 8.1, 0.5), vec.New(0.2, 0.2, 0.4)}
 	cl := Build(box, 1.0, pos)
 	found := 0
-	cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { found++ })
+	cl.ForEachPair(func(i, j int, d vec.V, r2 float64) { found++ })
 	if found != 1 {
 		t.Errorf("found %d pairs, want 1", found)
 	}
@@ -178,7 +207,7 @@ func TestCellWidthNeverBelowCutoff(t *testing.T) {
 	// brute force exactly.
 	want := brutePairs(box, pos, cutoff)
 	got := map[string]bool{}
-	cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) {
+	cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
 		got[key(i, j)] = true
 	})
 	if len(got) != len(want) {

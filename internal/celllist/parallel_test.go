@@ -61,11 +61,11 @@ func TestSlabTraversalMatchesFlat(t *testing.T) {
 			pos := randomPositions(rng, tc.n, tc.box)
 			l := Build(tc.box, tc.rc, pos)
 			flat := pairSet(t, func(emit func(i, j int)) {
-				l.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { emit(i, j) })
+				l.ForEachPair(func(i, j int, d vec.V, r2 float64) { emit(i, j) })
 			})
 			slabbed := pairSet(t, func(emit func(i, j int)) {
 				for s := 0; s < l.Slabs(); s++ {
-					l.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+					l.ForEachPairInSlab(s, func(i, j int, d vec.V, r2 float64, tgt int) {
 						// Ownership contract: i is owned by s, j by tgt.
 						if got := slabOf(l, pos, i); got != s {
 							t.Fatalf("atom %d reported from slab %d but owned by %d", i, s, got)
@@ -107,10 +107,10 @@ func TestRebuildReusesAcrossAtomCountChanges(t *testing.T) {
 		l.Rebuild(pos)
 		fresh := Build(box, 1.0, pos)
 		got := pairSet(t, func(emit func(i, j int)) {
-			l.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { emit(i, j) })
+			l.ForEachPair(func(i, j int, d vec.V, r2 float64) { emit(i, j) })
 		})
 		want := pairSet(t, func(emit func(i, j int)) {
-			fresh.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { emit(i, j) })
+			fresh.ForEachPair(func(i, j int, d vec.V, r2 float64) { emit(i, j) })
 		})
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: reused list found %d pairs, fresh %d", n, len(got), len(want))

@@ -33,7 +33,7 @@ const TwoOverSqrtPi = 2 / 1.7724538509055160273
 func RealSpace(box vec.Box, pos []vec.V, q []float64, alpha, rc float64, excl *topol.Exclusions, f []vec.V) float64 {
 	cl := celllist.Build(box, rc, pos)
 	var energy float64
-	cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) {
+	cl.ForEachPair(func(i, j int, d vec.V, r2 float64) {
 		if excl.Excluded(i, j) {
 			return
 		}

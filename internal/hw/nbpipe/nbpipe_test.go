@@ -1,132 +1,6 @@
 package nbpipe
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-
-	"tme4a/internal/nonbond"
-	"tme4a/internal/topol"
-	"tme4a/internal/units"
-	"tme4a/internal/vec"
-	"tme4a/internal/water"
-)
-
-func TestTableAccuracy(t *testing.T) {
-	// Segmented quadratic interpolation of smooth radial kernels reaches
-	// ~1e-6 relative accuracy with 256 entries/octave — the hardware's
-	// design point for "indistinguishable from analytic" forces.
-	f := func(r2 float64) float64 { r := math.Sqrt(r2); return math.Erfc(2.3*r) / r }
-	tab := NewTable(f, 1e-4, 2.25, 256)
-	rng := rand.New(rand.NewSource(1))
-	var maxRel float64
-	for i := 0; i < 20000; i++ {
-		r2 := 1e-4 + rng.Float64()*(2.2499-1e-4)
-		got := tab.Eval(r2)
-		want := f(r2)
-		if rel := math.Abs(got-want) / math.Abs(want); rel > maxRel {
-			maxRel = rel
-		}
-	}
-	if maxRel > 1e-6 {
-		t.Errorf("max relative table error %g, want < 1e-6", maxRel)
-	}
-}
-
-func TestTableResolutionTradeoff(t *testing.T) {
-	// Halving the resolution must increase the error by ~8× (h³ scaling of
-	// quadratic interpolation).
-	f := func(r2 float64) float64 { return 1 / (r2 * r2 * r2) }
-	errAt := func(perSeg int) float64 {
-		tab := NewTable(f, 0.01, 2.25, perSeg)
-		var m float64
-		for i := 1; i < 4000; i++ {
-			r2 := 0.011 + float64(i)*0.0005
-			if rel := math.Abs(tab.Eval(r2)-f(r2)) / f(r2); rel > m {
-				m = rel
-			}
-		}
-		return m
-	}
-	e64, e128 := errAt(64), errAt(128)
-	ratio := e64 / e128
-	if ratio < 4 || ratio > 16 {
-		t.Errorf("resolution scaling %0.1f×, expected ~8× (errors %g, %g)", ratio, e64, e128)
-	}
-}
-
-func TestOutOfRangeFallsBack(t *testing.T) {
-	f := func(r2 float64) float64 { return r2 }
-	tab := NewTable(f, 0.01, 1, 16)
-	if got := tab.Eval(5); got != 5 {
-		t.Errorf("out-of-range eval %g, want analytic 5", got)
-	}
-	if got := tab.Eval(1e-6); got != 1e-6 {
-		t.Errorf("below-range eval %g, want analytic", got)
-	}
-}
-
-// TestPipelineMatchesAnalyticShortRange runs the full short-range force
-// computation through the table datapath and compares against the
-// analytic nonbond module on a water box.
-func TestPipelineMatchesAnalyticShortRange(t *testing.T) {
-	box := water.CubicBoxFor(216)
-	sys := water.Build(6, 6, 6, box, 5)
-	alpha, rc := 2.75, 1.0
-	pipe := NewPipeline(alpha, rc, 256)
-
-	fAnalytic := make([]vec.V, sys.N())
-	res := nonbond.Compute(sys.Box, sys.Pos, sys.Q, sys.LJ, alpha, rc, sys.Excl, fAnalytic)
-
-	fTable := make([]vec.V, sys.N())
-	eTable := computeWithPipeline(pipe, sys.Box, sys.Pos, sys.Q, sys.LJ, rc, sys.Excl, fTable)
-
-	var num, den float64
-	for i := range fAnalytic {
-		num += fTable[i].Sub(fAnalytic[i]).Norm2()
-		den += fAnalytic[i].Norm2()
-	}
-	relF := math.Sqrt(num / den)
-	if relF > 1e-5 {
-		t.Errorf("table-pipeline force error %g vs analytic", relF)
-	}
-	eAnalytic := res.ECoul + res.ELJ
-	if math.Abs(eTable-eAnalytic) > 1e-5*math.Abs(eAnalytic) {
-		t.Errorf("table-pipeline energy %g vs analytic %g", eTable, eAnalytic)
-	}
-}
-
-// computeWithPipeline is a reference short-range driver over the table
-// datapath (the machine model charges its cycles via TimeNs).
-func computeWithPipeline(p *Pipeline, box vec.Box, pos []vec.V, q []float64, lj *nonbond.LJ, rc float64, excl *topol.Exclusions, f []vec.V) float64 {
-	var energy float64
-	for i := range pos {
-		for j := i + 1; j < len(pos); j++ {
-			if excl.Excluded(i, j) {
-				continue
-			}
-			d := box.MinImage(pos[i].Sub(pos[j]))
-			r2 := d.Norm2()
-			if r2 > rc*rc {
-				continue
-			}
-			var sigma2, eps float64
-			if lj.Eps[i] != 0 && lj.Eps[j] != 0 {
-				s := 0.5 * (lj.Sigma[i] + lj.Sigma[j])
-				sigma2 = s * s
-				eps = math.Sqrt(lj.Eps[i] * lj.Eps[j])
-			}
-			fr, e := p.PairForce(r2, q[i]*q[j]*units.Coulomb, sigma2, eps)
-			// The Coulomb table returns per-unit-charge-product values; the
-			// conversion factor rides on qq above, LJ is already absolute.
-			energy += e
-			fv := d.Scale(fr)
-			f[i] = f[i].Add(fv)
-			f[j] = f[j].Sub(fv)
-		}
-	}
-	return energy
-}
+import "testing"
 
 func TestCycleModel(t *testing.T) {
 	// 57,000 pairs/node (the paper's 80k-atom workload): 891 cycles
@@ -138,19 +12,4 @@ func TestCycleModel(t *testing.T) {
 	if ns := TimeNs(57000); ns < 1000 || ns > 1300 {
 		t.Errorf("57k pairs take %.0f ns, expected ~1.1 µs", ns)
 	}
-}
-
-func BenchmarkTableEval(b *testing.B) {
-	f := func(r2 float64) float64 { r := math.Sqrt(r2); return math.Erfc(2.3*r) / r }
-	tab := NewTable(f, 1e-4, 2.25, 256)
-	b.Run("table", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tab.Eval(0.5 + float64(i%100)*0.01)
-		}
-	})
-	b.Run("analytic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f(0.5 + float64(i%100)*0.01)
-		}
-	})
 }

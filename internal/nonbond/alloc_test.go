@@ -80,3 +80,29 @@ func TestVerletComputeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("VerletList.Rebuild allocates %.1f per run, want 0", allocs)
 	}
 }
+
+func TestVerletDirectSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	box := vec.Cubic(2.4)
+	n := 300
+	pos, q, lj := randomSystem(rng, n, box)
+	excl := testExclusions(n)
+
+	v := NewVerletList(box, 1.0, 0.1)
+	v.Rebuild(pos, excl)
+	f := make([]vec.V, n)
+	v.Compute(pos, q, lj, 2.5, f)
+	v.Rebuild(pos, excl)
+	allocs := testing.AllocsPerRun(10, func() {
+		v.Rebuild(pos, excl)
+		v.Compute(pos, q, lj, 2.5, f)
+	})
+	if allocs != 0 {
+		t.Fatalf("direct-mode VerletList Rebuild+Compute allocates %.1f per run, want 0", allocs)
+	}
+}

@@ -21,13 +21,11 @@
 package nonbond
 
 import (
-	"math"
 	"sync"
 
 	"tme4a/internal/celllist"
 	"tme4a/internal/par"
 	"tme4a/internal/topol"
-	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
 
@@ -129,10 +127,12 @@ func Compute(box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha, rc float64, e
 	return ComputeWithList(cl, box, pos, q, lj, alpha, excl, f)
 }
 
-// ComputeWithList is Compute with a prebuilt cell list (so callers stepping
-// an MD trajectory can reuse the list while atoms move less than the skin).
-// It is parallel and bitwise deterministic at any GOMAXPROCS (see the
-// package comment) and allocation-free in steady state.
+// ComputeWithList is Compute with a prebuilt cell list, so callers stepping
+// an MD trajectory can Rebuild one list in place every step. The list must
+// have been rebuilt at pos: pairs and displacements come from its wrapped
+// copies of those positions. It is parallel and bitwise deterministic at
+// any GOMAXPROCS (see the package comment) and allocation-free in steady
+// state.
 func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V) Result {
 	ns := cl.Slabs()
 	n := len(pos)
@@ -145,12 +145,12 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	if par.WorkersGrain(ns, 1) == 1 {
 		if dense {
 			for s := 0; s < ns; s++ {
-				computeSlabDense(cl, pos, q, lj, alpha, excl, f, sc, s)
+				computeSlabDense(cl, q, lj, alpha, excl, f, sc, s)
 			}
-			applyDense(f, sc, 0, ns, ns, n)
+			applyDense(f, sc.dense, 0, ns, n)
 		} else {
 			for s := 0; s < ns; s++ {
-				computeSlab(cl, pos, q, lj, alpha, excl, f, sc, s, ns)
+				computeSlab(cl, q, lj, alpha, excl, f, sc, s, ns)
 			}
 			if f != nil {
 				applyDeferred(f, sc, 0, ns, ns)
@@ -159,16 +159,16 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	} else if dense {
 		par.ForRangeGrain(ns, 1, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
-				computeSlabDense(cl, pos, q, lj, alpha, excl, f, sc, s)
+				computeSlabDense(cl, q, lj, alpha, excl, f, sc, s)
 			}
 		})
 		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			applyDense(f, sc, lo, hi, ns, n)
+			applyDense(f, sc.dense, lo, hi, n)
 		})
 	} else {
 		par.ForRangeGrain(ns, 1, func(lo, hi int) {
 			for s := lo; s < hi; s++ {
-				computeSlab(cl, pos, q, lj, alpha, excl, f, sc, s, ns)
+				computeSlab(cl, q, lj, alpha, excl, f, sc, s, ns)
 			}
 		})
 		if f != nil {
@@ -189,10 +189,10 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 
 // computeSlab traverses slab s, writing forces only into atoms slab s owns
 // and deferring cross-slab reaction forces.
-func computeSlab(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s, ns int) {
+func computeSlab(cl *celllist.List, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s, ns int) {
 	p := &sc.part[s]
 	base := s * ns
-	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+	cl.ForEachPairInSlab(s, func(i, j int, d vec.V, r2 float64, tgt int) {
 		if excl.Excluded(i, j) {
 			return
 		}
@@ -215,10 +215,10 @@ func computeSlab(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha floa
 // computeSlabDense is the direct-mode variant of computeSlab: cross-block
 // reaction forces accumulate into the slab's dense private buffer instead
 // of per-pair deferred entries.
-func computeSlabDense(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
+func computeSlabDense(cl *celllist.List, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
 	p := &sc.part[s]
 	fs := sc.dense[s]
-	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+	cl.ForEachPairInSlab(s, func(i, j int, d vec.V, r2 float64, tgt int) {
 		if excl.Excluded(i, j) {
 			return
 		}
@@ -242,15 +242,13 @@ func computeSlabDense(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 // slabs [mlo, mhi), scanning source slabs in ascending order. Direct-mode
 // blocks follow atom order with i < j, so only sources below the target
 // ever contribute.
-func applyDense(f []vec.V, sc *pairScratch, mlo, mhi, ns, n int) {
+func applyDense(f []vec.V, dense [][]vec.V, mlo, mhi, n int) {
+	ns := len(dense)
 	c := (n + ns - 1) / ns
 	for m := mlo; m < mhi; m++ {
-		lo, hi := m*c, (m+1)*c
-		if hi > n {
-			hi = n
-		}
+		lo, hi := m*c, min((m+1)*c, n)
 		for src := 0; src < m; src++ {
-			fs := sc.dense[src]
+			fs := dense[src]
 			for j := lo; j < hi; j++ {
 				f[j] = f[j].Add(fs[j])
 			}
@@ -273,32 +271,3 @@ func applyDeferred(f []vec.V, sc *pairScratch, mlo, mhi, ns int) {
 		}
 	}
 }
-
-// pairEval evaluates the erfc-screened Coulomb + Lennard-Jones kernel for
-// one pair at squared distance r2, returning the two energy terms and the
-// radial force factor fr such that F_i = fr·d (and F_j = −fr·d).
-func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr float64) {
-	r := math.Sqrt(r2)
-	inv2 := 1 / r2
-	if qq != 0 {
-		if alpha > 0 {
-			eC = qq * math.Erfc(alpha*r) / r * units.Coulomb
-			fr += (eC + qq*units.Coulomb*alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)) * inv2
-		} else {
-			eC = qq / r * units.Coulomb
-			fr += eC * inv2
-		}
-	}
-	if lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0 {
-		eps := math.Sqrt(lj.Eps[i] * lj.Eps[j])
-		sig := 0.5 * (lj.Sigma[i] + lj.Sigma[j])
-		sr2 := sig * sig * inv2
-		sr6 := sr2 * sr2 * sr2
-		sr12 := sr6 * sr6
-		eLJ = 4 * eps * (sr12 - sr6)
-		fr += 24 * eps * (2*sr12 - sr6) * inv2
-	}
-	return eC, eLJ, fr
-}
-
-const twoOverSqrtPi = 2 / 1.7724538509055160273

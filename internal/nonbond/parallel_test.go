@@ -238,3 +238,39 @@ func TestVerletAtomCountChange(t *testing.T) {
 		compareToNaive(t, "VerletList", n, box.L[0], n, r, rN, f, fN)
 	}
 }
+
+// TestVerletDirectBitwiseAcrossGOMAXPROCS covers the direct-mode Verlet
+// list (box under three cells per axis), whose cross-block reaction
+// forces go through per-slab dense buffers rather than deferred buckets.
+func TestVerletDirectBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	box := vec.Cubic(2.4)
+	n := 300
+	pos, q, lj := randomSystem(rng, n, box)
+	excl := testExclusions(n)
+	moved := make([]vec.V, n)
+	for i := range moved {
+		moved[i] = pos[i].Add(vec.V{rng.NormFloat64() * 0.02, rng.NormFloat64() * 0.02, rng.NormFloat64() * 0.02})
+	}
+	var refF []vec.V
+	var refR Result
+	for li, p := range gomaxprocsLevels {
+		v := NewVerletList(box, 1.0, 0.1)
+		f := make([]vec.V, n)
+		var r Result
+		withGOMAXPROCS(p, func() {
+			v.Rebuild(pos, excl)
+			r = v.Compute(moved, q, lj, 2.5, f)
+		})
+		if !v.cl.Direct() || v.ns < 2 {
+			t.Fatalf("want a multi-slab direct-mode list, got direct=%v slabs=%d", v.cl.Direct(), v.ns)
+		}
+		assertResultBitwise(t, "verlet direct without forces", r, v.Compute(moved, q, lj, 2.5, nil))
+		if li == 0 {
+			refF, refR = f, r
+			continue
+		}
+		assertResultBitwise(t, "verlet direct", refR, r)
+		assertForcesBitwise(t, "verlet direct", refF, f)
+	}
+}

@@ -62,7 +62,7 @@ func (sc *SlabScratch) reset(n int) {
 // — the same phase order ComputeWithList uses. The caller zeroes f for the
 // atoms of layers [s0, s1) beforehand (ComputeWithList zeroes the whole
 // array via the force field).
-func ComputeSlabRange(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, part []SlabPartial, sc *SlabScratch, s0, s1 int) []Deferred {
+func ComputeSlabRange(cl *celllist.List, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, part []SlabPartial, sc *SlabScratch, s0, s1 int) []Deferred {
 	n := s1 - s0
 	sc.reset(n)
 	for s := s0; s < s1; s++ {
@@ -70,7 +70,7 @@ func ComputeSlabRange(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 		p := &part[k]
 		*p = SlabPartial{}
 		def := sc.def[k]
-		cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+		cl.ForEachPairInSlab(s, func(i, j int, d vec.V, r2 float64, tgt int) {
 			if excl.Excluded(i, j) {
 				return
 			}

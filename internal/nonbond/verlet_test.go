@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tme4a/internal/topol"
+	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
 
@@ -106,5 +107,52 @@ func BenchmarkVerletCompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Compute(pos, q, lj, 2.3, f)
+	}
+}
+
+// TestVerletTinyBoxImages is the regression test for stored image shifts
+// in mdserve's side-2 and side-3 water boxes, where 2(rc+skin) > L: a
+// pair's build-time image can drift past L/2 before the list is stale,
+// so Compute must fold it back. Atoms random-walk (unwrapped, except for
+// a periodic re-wrap of every coordinate, which must force a rebuild) in
+// steps below skin/2, and after every step the buffered list must match
+// a naive minimum-image double loop.
+func TestVerletTinyBoxImages(t *testing.T) {
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	const skin, steps = 0.1, 240
+	for _, nmol := range []int{8, 27} {
+		L := math.Cbrt(float64(nmol) / units.TIP3PDensity)
+		rc := math.Min(0.9, 0.45*L)
+		alpha := alphaForRTol(rc, 1e-4)
+		box := vec.Cubic(L)
+		n := 3 * nmol
+		pos, q, lj := randomSystem(rng, n, box)
+		excl := testExclusions(n)
+		v := NewVerletList(box, rc, skin)
+		rebuilds := 0
+		for step := 0; step < steps; step++ {
+			if step%60 == 59 {
+				for i := range pos {
+					pos[i] = box.Wrap(pos[i])
+				}
+			}
+			if v.NeedsRebuild(pos) {
+				v.Rebuild(pos, excl)
+				rebuilds++
+			}
+			f := make([]vec.V, n)
+			fN := make([]vec.V, n)
+			r := v.Compute(pos, q, lj, alpha, f)
+			rN := naive(box, pos, q, lj, alpha, rc, excl, fN)
+			compareToNaive(t, "tiny-box VerletList", step, L, n, r, rN, f, fN)
+			for i := range pos {
+				d := vec.V{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() - 0.5}
+				pos[i] = pos[i].Add(d.Scale(0.5 * skin / 3))
+			}
+		}
+		if rebuilds >= steps/2 {
+			t.Errorf("side %d: %d rebuilds in %d steps; the list should survive several steps", nmol, rebuilds, steps)
+		}
+		t.Logf("L=%.3f rc=%.3f: %d rebuilds in %d steps", L, rc, rebuilds, steps)
 	}
 }

@@ -464,7 +464,7 @@ func (w *worker) shortRange() {
 	w.cl.RebuildSubset(w.pos, w.cellIdx)
 	spn.Stop()
 	s0, s1 := sh.slabLo[w.rank], sh.slabLo[w.rank+1]
-	def := nonbond.ComputeSlabRange(w.cl, w.pos, sh.q, sh.lj, sh.alpha, sh.excl,
+	def := nonbond.ComputeSlabRange(w.cl, sh.q, sh.lj, sh.alpha, sh.excl,
 		w.shortF, w.res.part, w.sc, s0, s1)
 	if sh.r == 1 {
 		nonbond.ApplyDeferred(w.shortF, def)
